@@ -16,6 +16,7 @@ and ``node`` (the node index).
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
 
@@ -37,7 +38,7 @@ from ..nmad.interface import NmInterface
 from ..nmad.progress import SequentialEngine
 from ..nmad.rdv import RDV_STAT_KEYS
 from ..nmad.reliability import ReliabilityLayer
-from ..nmad.strategies import make_strategy
+from ..nmad.strategies import Strategy, make_strategy
 from ..obs import MetricsRegistry, TimeSeriesSampler
 from ..pioman.engine import PiomanEngine
 from ..sim.kernel import Simulator
@@ -70,6 +71,25 @@ def _make_offload_policy(name: Optional[str], kwargs: Optional[dict[str, Any]]):
     return cls(**(kwargs or {}))
 
 
+def _open_gate(
+    node: int,
+    nodes: int,
+    shm_driver: Any,
+    rails: list[Any],
+    strategy: str,
+    skw: dict[str, Any],
+    peer: int,
+) -> Optional[tuple[list[Any], Strategy]]:
+    """A node's gate opener (see ``SessionCore.gate_to``): shm and the
+    ``default`` strategy to itself, every rail and the configured strategy
+    to any other node of the cluster, no gate outside it."""
+    if peer == node:
+        return [shm_driver], make_strategy("default")
+    if 0 <= peer < nodes:
+        return list(rails), make_strategy(strategy, **skw)
+    return None
+
+
 @dataclass
 class NodeRuntime:
     """Everything attached to one node."""
@@ -81,7 +101,7 @@ class NodeRuntime:
     nm: NmInterface
     nics: list[Nic] = field(default_factory=list)
     shm: Optional[ShmChannel] = None
-    #: every driver attached to this node's gates (rails first, shm last)
+    #: every driver of this node (rails first, shm last)
     drivers: list[Any] = field(default_factory=list)
 
 
@@ -258,6 +278,10 @@ class ClusterRuntime:
             injector = FaultInjector(faults)
             for fabric in fabrics:
                 fabric.set_injector(injector)
+        skw = dict(strategy_kwargs or {})
+        # gates open on first use; a bad strategy name or kwargs fails here,
+        # whatever the node count
+        make_strategy(strategy, **skw)
         node_rts: list[NodeRuntime] = []
         per_node_nics: list[list[Nic]] = []
         for node in cluster.nodes:
@@ -277,20 +301,27 @@ class ClusterRuntime:
                 drivers = [TcpDriver(nic, timing.host) for nic in nics]
             shm = ShmChannel(sim, node.index, timing.shm)
             shm_driver = ShmDriver(shm, timing.host)
-            # engine before gates or after — session supports both; build
-            # engine first so it watches every driver as gates appear
+            # engine first so it watches every driver as it is attached
             if engine == EngineKind.PIOMAN:
                 eng: Any = PiomanEngine(session, offload_policy=_make_offload_policy(offload_policy, offload_policy_kwargs))
             else:
                 if offload_policy is not None:
                     raise HarnessError("offload_policy only applies to the pioman engine")
                 eng = SequentialEngine(session)
-            skw = dict(strategy_kwargs or {})
-            for peer in range(nodes):
-                if peer == node.index:
-                    session.add_gate(peer, [shm_driver], make_strategy("default"))
-                else:
-                    session.add_gate(peer, list(drivers), make_strategy(strategy, **skw))
+            # drivers are polled in attach order and each poll charges
+            # virtual CPU, so attach them in the order a peer-ordered gate
+            # wiring would: the self gate (shm) is node i's i-th gate
+            if nodes == 1:
+                attach = [shm_driver]
+            elif node.index == 0:
+                attach = [shm_driver, *drivers]
+            else:
+                attach = [*drivers, shm_driver]
+            for drv in attach:
+                session.attach_driver(drv)
+            session.gate_opener = functools.partial(
+                _open_gate, node.index, nodes, shm_driver, drivers, strategy, skw
+            )
             nm = NmInterface(session, eng)
             node_rts.append(
                 NodeRuntime(

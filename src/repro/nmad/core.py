@@ -57,6 +57,8 @@ RxHandler = Callable[[ExecContext, Driver, Packet], None]
 OrderHandler = Callable[[ExecContext, Driver, Any], None]
 #: a registered unexpected-match path: (recv request, store item)
 UnexpectedPath = Callable[[NmRequest, Any], None]
+#: opens the gate to a peer: peer -> (rails, strategy), or None
+GateOpener = Callable[[int], Optional[tuple[list[Driver], Strategy]]]
 
 
 def _trace_noop(*_args: Any, **_kw: Any) -> None:
@@ -98,6 +100,9 @@ class SessionCore:
             self._trace = _trace_noop  # type: ignore[method-assign]
             self._trace_raw = _trace_noop  # type: ignore[method-assign]
         self.gates: dict[int, Gate] = {}
+        #: opens a gate on first use: peer -> (rails, strategy), or None
+        #: when no gate to that peer can exist (see :meth:`gate_to`)
+        self.gate_opener: Optional[GateOpener] = None
         self.drivers: list[Driver] = []
         self.registry = MemoryRegistry(self.timing.nic)
         self.match_table = MatchTable()
@@ -185,24 +190,35 @@ class SessionCore:
 
     # ------------------------------------------------------------------ wiring
 
+    def attach_driver(self, driver: Driver) -> None:
+        """Join ``driver`` to the session: it is polled (in attach order)
+        and watched for activity. Attaching twice is a no-op."""
+        if driver in self.drivers:
+            return
+        self.drivers.append(driver)
+        driver.add_activity_listener(self.activity_flag.set)
+        for cb in self.on_driver_added:
+            cb(driver)
+
     def add_gate(self, peer: int, rails: list[Driver], strategy: Strategy | None = None) -> Gate:
         if peer in self.gates:
             raise ProtocolError(f"gate to n{peer} already exists")
         gate = Gate(peer, rails, strategy)
         self.gates[peer] = gate
         for rail in rails:
-            if rail not in self.drivers:
-                self.drivers.append(rail)
-                rail.add_activity_listener(self.activity_flag.set)
-                for cb in self.on_driver_added:
-                    cb(rail)
+            self.attach_driver(rail)
         return gate
 
     def gate_to(self, peer: int) -> Gate:
+        """The gate to ``peer``; a missing one is opened through
+        :attr:`gate_opener` on first use."""
         try:
             return self.gates[peer]
         except KeyError:
-            raise ProtocolError(f"n{self.node_index} has no gate to n{peer}") from None
+            spec = None if self.gate_opener is None else self.gate_opener(peer)
+            if spec is None:
+                raise ProtocolError(f"n{self.node_index} has no gate to n{peer}") from None
+            return self.add_gate(peer, *spec)
 
     # ---------------------------------------------------------------- requests
 

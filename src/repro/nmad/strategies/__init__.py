@@ -39,4 +39,7 @@ def make_strategy(name: str, **kwargs: Any) -> Strategy:
         raise ValueError(
             f"unknown strategy {name!r}; expected one of {sorted(table)}"
         ) from None
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except TypeError as exc:  # unknown keyword: a config error, not a bug
+        raise ValueError(f"bad arguments for strategy {name!r}: {exc}") from None

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.config import EngineKind
-from repro.errors import HarnessError
+from repro.errors import ConfigError, HarnessError, ProtocolError
 from repro.harness.runner import ClusterRuntime
 from repro.nmad.progress import SequentialEngine
 from repro.pioman.engine import PiomanEngine
@@ -36,10 +36,62 @@ class TestBuild:
         with pytest.raises(HarnessError):
             ClusterRuntime.build(interconnect="carrier-pigeon")
 
-    def test_gates_fully_wired(self):
+    def test_no_gates_after_build(self):
         rt = ClusterRuntime.build(nodes=3)
         for nrt in rt.nodes:
-            assert sorted(nrt.session.gates) == [0, 1, 2]  # incl. self (shm)
+            assert nrt.session.gates == {}
+
+    def test_gates_open_on_first_use(self):
+        rt = ClusterRuntime.build(nodes=3, rails=2)
+        session = rt.node(1).session
+        own = session.gate_to(1)
+        assert [d.name for d in own.rails] == ["shm"]
+        assert own.strategy.name == "default"
+        peer = session.gate_to(2)
+        assert peer.rails == rt.node(1).drivers[:2]
+        assert [d.name for d in peer.rails] == ["mx", "mx"]
+        assert sorted(session.gates) == [1, 2]
+        assert session.gate_to(2) is peer  # opened once
+
+    @pytest.mark.parametrize("peer", [3, 7, -1])
+    def test_out_of_range_peer_has_no_gate(self, peer):
+        rt = ClusterRuntime.build(nodes=3)
+        with pytest.raises(ProtocolError, match="no gate"):
+            rt.node(0).session.gate_to(peer)
+        assert rt.node(0).session.gates == {}
+
+    @pytest.mark.parametrize("nodes", [1, 2])
+    def test_bad_strategy_rejected_at_build(self, nodes):
+        with pytest.raises(ValueError, match="unknown strategy"):
+            ClusterRuntime.build(nodes=nodes, strategy="quantum")
+        with pytest.raises(ValueError, match="bad arguments"):
+            ClusterRuntime.build(
+                nodes=nodes, strategy="aggreg", strategy_kwargs={"split_threshold": 64}
+            )
+        with pytest.raises(ConfigError, match="flush_window_us"):
+            ClusterRuntime.build(
+                nodes=nodes, strategy="aggreg", strategy_kwargs={"flush_window_us": -1.0}
+            )
+
+    @pytest.mark.parametrize("rails", [1, 2])
+    @pytest.mark.parametrize("nodes", [1, 2, 3, 5])
+    def test_driver_order_matches_peer_ordered_wiring(self, nodes, rails):
+        """Drivers are polled in attach order and each poll costs virtual
+        CPU: the order must be the one wiring every gate in peer order
+        gave (the self gate's shm driver lands at node i's i-th gate)."""
+        rt = ClusterRuntime.build(nodes=nodes, rails=rails)
+        for nrt in rt.nodes:
+            *rail_drivers, shm = nrt.drivers
+            expected: list = []
+            for peer in range(nodes):
+                for drv in [shm] if peer == nrt.index else rail_drivers:
+                    if not any(drv is e for e in expected):
+                        expected.append(drv)
+            assert [id(d) for d in nrt.session.drivers] == [id(d) for d in expected]
+            # opening every gate attaches nothing new
+            for peer in range(nodes):
+                nrt.session.gate_to(peer)
+            assert [id(d) for d in nrt.session.drivers] == [id(d) for d in expected]
 
     def test_multirail_attaches_n_nics(self):
         rt = ClusterRuntime.build(rails=2)
