@@ -29,7 +29,6 @@ __all__ = [
     "FaultConfig",
     "RdvConfig",
     "ObsConfig",
-    "KernelConfig",
     "FastPathConfig",
     "InterconnectConfig",
     "TimingModel",
@@ -462,34 +461,12 @@ class InterconnectConfig:
 
 
 @dataclass(frozen=True)
-class KernelConfig:
-    """Discrete-event kernel configuration (see ``repro.sim.queues``).
-
-    ``queue`` selects the event-queue implementation: ``"calendar"``
-    (default — O(1) amortized calendar queue with batch firing and
-    cancelled-entry compaction) or ``"heap"`` (the classic binary heap,
-    kept as the conservative fallback). Fire order — and therefore every
-    trace signature — is identical for both; only wall-clock speed
-    differs (``docs/performance.md``).
-    """
-
-    queue: str = "calendar"
-
-    def __post_init__(self) -> None:
-        if self.queue not in ("heap", "calendar"):
-            raise ConfigError(
-                f"kernel queue must be 'heap' or 'calendar', got {self.queue!r}"
-            )
-
-
-@dataclass(frozen=True)
 class FastPathConfig:
     """Message-path fast-path toggles (see ``docs/performance.md``).
 
-    Like :class:`KernelConfig`, nothing here may change *simulated*
-    behaviour: fire order, virtual times, and trace signatures are
-    byte-identical whichever way the toggles are set — only wall-clock
-    speed differs. Both default on.
+    Nothing here may change *simulated* behaviour: fire order, virtual
+    times, and trace signatures are byte-identical whichever way the
+    toggles are set — only wall-clock speed differs. Both default on.
 
     ``fuse_submit``
         Collapse the deterministic eager/PIO submit chain (hardware
@@ -519,7 +496,6 @@ class TimingModel:
     faults: FaultConfig = field(default_factory=FaultConfig)
     rdv: RdvConfig = field(default_factory=RdvConfig)
     obs: ObsConfig = field(default_factory=ObsConfig)
-    kernel: KernelConfig = field(default_factory=KernelConfig)
     fastpath: FastPathConfig = field(default_factory=FastPathConfig)
     interconnect: InterconnectConfig = field(default_factory=InterconnectConfig)
 

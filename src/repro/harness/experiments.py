@@ -12,7 +12,6 @@ are calibrated workloads — the reproduced quantities are the execution-time
 
 from __future__ import annotations
 
-from concurrent.futures import Executor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -136,8 +135,6 @@ def _overlap_series(
     compute_us: float,
     iterations: int,
     timing: Optional[TimingModel],
-    workers: Optional[int] = None,
-    executor: Optional[Executor] = None,
     execution: ExecutionLike = None,
 ) -> tuple[list[float], list[float], list[float]]:
     tasks = [
@@ -150,7 +147,7 @@ def _overlap_series(
         for size in sizes
     ]
     times = run_grid(
-        _overlap_point, tasks, execution=execution, workers=workers, executor=executor
+        _overlap_point, tasks, execution=execution
     )
     n = len(sizes)
     return times[:n], times[n : 2 * n], times[2 * n :]
@@ -161,8 +158,6 @@ def experiment_fig5(
     compute_us: float = 20.0,
     iterations: int = 20,
     timing: Optional[TimingModel] = None,
-    workers: Optional[int] = None,
-    executor: Optional[Executor] = None,
     execution: ExecutionLike = None,
 ) -> FigureResult:
     """§4.1 / Fig. 5 — small-message submission offloading.
@@ -170,11 +165,11 @@ def experiment_fig5(
     Series: *No computation (reference)*, *No copy offloading* (sequential
     baseline), *copy offloading* (PIOMan). Expected shapes: baseline =
     reference + compute; PIOMan = max(reference, compute) (+≈2 µs at the
-    crossover). ``workers`` runs the grid points on a process pool
+    crossover). ``execution`` can run the grid points on a process pool
     (results identical to serial — see :mod:`repro.harness.parallel`).
     """
     ref, base, piom = _overlap_series(
-        sizes, compute_us, iterations, timing, workers, executor, execution
+        sizes, compute_us, iterations, timing, execution
     )
     return FigureResult(
         name="fig5",
@@ -194,8 +189,6 @@ def experiment_fig6(
     compute_us: float = 100.0,
     iterations: int = 20,
     timing: Optional[TimingModel] = None,
-    workers: Optional[int] = None,
-    executor: Optional[Executor] = None,
     execution: ExecutionLike = None,
 ) -> FigureResult:
     """§4.2 / Fig. 6 — rendezvous handshake progression.
@@ -205,7 +198,7 @@ def experiment_fig6(
     sum(compute, comm), PIOMan = max(compute, comm).
     """
     ref, base, piom = _overlap_series(
-        sizes, compute_us, iterations, timing, workers, executor, execution
+        sizes, compute_us, iterations, timing, execution
     )
     return FigureResult(
         name="fig6",
@@ -249,8 +242,6 @@ def experiment_table1(
     configs=TABLE1_CONFIGS,
     iterations: int = 1,
     timing: Optional[TimingModel] = None,
-    workers: Optional[int] = None,
-    executor: Optional[Executor] = None,
     execution: ExecutionLike = None,
 ) -> Table1Result:
     """§4.3 / Table 1 — convolution meta-application, offloading on/off."""
@@ -265,7 +256,7 @@ def experiment_table1(
         for engine in engines
     ]
     times = run_grid(
-        _convolution_point, tasks, execution=execution, workers=workers, executor=executor
+        _convolution_point, tasks, execution=execution
     )
     result = Table1Result()
     for i, (label, *_rest) in enumerate(configs):
@@ -285,23 +276,22 @@ def experiment_table1(
 def run_all_experiments(
     iterations: int = 20,
     timing: Optional[TimingModel] = None,
-    workers: Optional[int] = None,
     execution: ExecutionLike = None,
 ) -> dict[str, "FigureResult | Table1Result"]:
     """Run the paper's full evaluation; returns results keyed by name.
 
     ``execution`` selects the engine for every sub-experiment (a shared
     :class:`~repro.harness.executors.Executor` amortizes one pool across
-    all three); the deprecated ``workers=`` shim keeps its old meaning."""
+    all three)."""
     return {
         "fig5": experiment_fig5(
-            iterations=iterations, timing=timing, workers=workers, execution=execution
+            iterations=iterations, timing=timing, execution=execution
         ),
         "fig6": experiment_fig6(
-            iterations=iterations, timing=timing, workers=workers, execution=execution
+            iterations=iterations, timing=timing, execution=execution
         ),
         "table1": experiment_table1(
-            timing=timing, workers=workers, execution=execution
+            timing=timing, execution=execution
         ),
     }
 

@@ -7,7 +7,8 @@ virtual-time synchronization primitives.
 Public surface:
 
 * :class:`~repro.sim.kernel.Simulator` — the event loop (`now`, `schedule`,
-  `run`).
+  `run`): one calendar queue (:class:`~repro.sim.queues.CalendarQueue`)
+  and one run loop.
 * :class:`~repro.sim.process.SimProcess` and the effects in
   :mod:`repro.sim.process` (``Delay``, ``WaitEvent``) — lightweight
   coroutines in virtual time.
@@ -16,40 +17,21 @@ Public surface:
 * :mod:`repro.sim.rng` — seeded, named random substreams (determinism).
 * :mod:`repro.sim.tracing` — structured trace records and per-core
   timelines.
-* :mod:`repro.sim.partition` — conservative parallel-DES: the event queue
-  sharded by simulated node, synchronized with null messages, trace
-  digests byte-identical to the serial kernel.
 """
 
 from .events import EventHandle, Priority
 from .kernel import Simulator
-from .partition import (
-    PARTITION_MODES,
-    NodeContext,
-    PartitionedSimulation,
-    PartitionPlan,
-    PartitionProgram,
-)
 from .primitives import Mutex, Semaphore, SimEvent, Store
 from .process import Delay, SimProcess, WaitEvent, spawn
-from .queues import QUEUE_KINDS, CalendarQueue, EventQueue, HeapQueue, make_queue
+from .queues import CalendarQueue
 from .rng import RngStreams
 from .tracing import CoreTimeline, TraceRecord, Tracer
 
 __all__ = [
     "Simulator",
-    "PartitionPlan",
-    "PartitionProgram",
-    "NodeContext",
-    "PartitionedSimulation",
-    "PARTITION_MODES",
     "EventHandle",
     "Priority",
-    "EventQueue",
-    "HeapQueue",
     "CalendarQueue",
-    "QUEUE_KINDS",
-    "make_queue",
     "SimProcess",
     "spawn",
     "Delay",

@@ -31,8 +31,8 @@ class Priority:
 class EventHandle:
     """A scheduled callback; supports cancellation.
 
-    Cancellation is lazy: the entry stays in the heap but is skipped when it
-    surfaces. ``fired`` is True once the callback ran.
+    Cancellation is lazy: the entry stays in the queue but is skipped when
+    it surfaces. ``fired`` is True once the callback ran.
     """
 
     __slots__ = (
@@ -61,10 +61,10 @@ class EventHandle:
         self.time = time
         self.priority = priority
         self.seq = seq
-        # The ordering key is precomputed once: ``__lt__`` runs O(log n)
-        # times per heap operation and allocating a fresh tuple on every
-        # comparison dominated the kernel profile. The (time, priority,
-        # seq) fields never change after construction, so the cache is
+        # The ordering key is precomputed once: the calendar queue sorts
+        # batches and insorts by it, and a fresh tuple per comparison
+        # would dominate the kernel profile. The (time, priority, seq)
+        # fields never change while the handle is stored, so the cache is
         # always coherent.
         self._key = (time, priority, seq)
         self._fn = fn
@@ -72,7 +72,7 @@ class EventHandle:
         self.cancelled = False
         self.fired = False
         self.label = label
-        #: the EventQueue currently storing this handle (set by push);
+        #: the CalendarQueue currently storing this handle (set by push);
         #: lets cancel() report lazily-cancelled entries so the queue can
         #: compact when they pile up.
         self._queue: Any = None
@@ -100,12 +100,6 @@ class EventHandle:
         # Release references so long simulations do not retain closures.
         self._fn = _noop
         self._args = ()
-
-    def sort_key(self) -> tuple[float, int, int]:
-        return self._key
-
-    def __lt__(self, other: "EventHandle") -> bool:
-        return self._key < other._key
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else ("fired" if self.fired else "pending")

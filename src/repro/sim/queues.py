@@ -1,30 +1,23 @@
-"""Pluggable event queues for the discrete-event kernel.
+"""The event queue of the discrete-event kernel.
 
-Two implementations share one contract — events surface in strict
-``(time, priority, seq)`` order, identical between implementations, so a
-run produces byte-identical per-seed traces whichever queue it selects
-(``tests/property/test_prop_queues.py`` pins this with random schedules):
+:class:`CalendarQueue` is a calendar queue keyed on the microsecond
+virtual clock: O(1) amortized push/pop with lazy bucket resizing, batch
+extraction of whole bucket-visits (sorted once, fired without
+re-entering the bucket search), and cancelled-entry compaction so
+abandoned timers (e.g. retransmit timers cancelled by ACKs) cannot bloat
+the queue without bound. Events surface in strict ``(time, priority,
+seq)`` order; ``tests/property/test_prop_queues.py`` checks that against
+a sorted reference with random schedule/cancel/rearm programs.
 
-* :class:`HeapQueue` — the classic binary heap (:mod:`heapq`). O(log n)
-  push/pop. The conservative fallback, and the reference ordering.
-* :class:`CalendarQueue` — a calendar queue keyed on the microsecond
-  virtual clock: O(1) amortized push/pop with lazy bucket resizing,
-  batch extraction of whole bucket-visits (sorted once, fired without
-  re-entering the bucket search), and cancelled-entry compaction so
-  abandoned timers (e.g. retransmit timers cancelled by ACKs) cannot
-  bloat the queue without bound.
+Compaction starts once lazily-cancelled entries outnumber live ones
+(with a small floor so tiny queues never bother), so a cancelled timer
+is not carried until its timestamp surfaces.
 
-Both queues compact lazily-cancelled entries once they outnumber live
-ones (with a small floor so tiny queues never bother), which fixes the
-historical heap behaviour of carrying every cancelled timer until its
-timestamp surfaced.
-
-The kernel's hot loops (:meth:`repro.sim.kernel.Simulator.run`) reach
-into the concrete queues' internals (``_heap``, ``_batch``/``_batch_i``,
-``_count``/``_cancelled``) to avoid per-event method calls; that
-contract is private to ``repro.sim`` and documented on each class.
-Third-party :class:`EventQueue` subclasses only need the public methods
-— the kernel falls back to a ``peek``/``pop`` loop for them.
+The kernel's run loop (:meth:`repro.sim.kernel.Simulator.run`) and its
+``schedule``/``schedule_at`` reach into the queue's internals
+(``_batch``/``_batch_i``, ``_count``/``_cancelled``, the bucket fields)
+to avoid per-event method calls; that contract is private to
+``repro.sim`` and documented on the class.
 
 Bucket mapping
 --------------
@@ -39,17 +32,16 @@ is monotone in ``t``, which is all the ordering proof needs.
 
 from __future__ import annotations
 
-import heapq
 from bisect import insort
 from operator import attrgetter
-from typing import TYPE_CHECKING, Iterator, Union
+from typing import TYPE_CHECKING, Iterator
 
 from ..errors import SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .events import EventHandle
 
-__all__ = ["EventQueue", "HeapQueue", "CalendarQueue", "QUEUE_KINDS", "make_queue"]
+__all__ = ["CalendarQueue"]
 
 _SORT_KEY = attrgetter("_key")
 
@@ -66,112 +58,7 @@ _MIN_BUCKETS = 32
 _MAX_BUCKETS = 1 << 17
 
 
-class EventQueue:
-    """Contract shared by kernel event queues.
-
-    Implementations must dequeue pending handles in strict
-    ``(time, priority, seq)`` order and silently drop cancelled entries
-    as they surface. ``len(q)`` counts *stored* entries — including
-    lazily-cancelled ones — which is what the bloat regression guards
-    watch.
-    """
-
-    kind = "abstract"
-
-    def push(self, handle: "EventHandle") -> None:
-        raise NotImplementedError
-
-    def pop_next(self) -> "EventHandle | None":
-        """Remove and return the next pending handle (None when drained)."""
-        raise NotImplementedError
-
-    def peek_time(self) -> float | None:
-        """Time of the next pending handle, or None when drained."""
-        raise NotImplementedError
-
-    def __len__(self) -> int:
-        raise NotImplementedError
-
-    def __iter__(self) -> Iterator["EventHandle"]:
-        raise NotImplementedError
-
-    def _note_cancel(self) -> None:
-        """Called by :meth:`EventHandle.cancel` on a stored handle."""
-        raise NotImplementedError
-
-    def stats(self) -> dict[str, object]:
-        raise NotImplementedError
-
-    def pending_count(self) -> int:
-        """Number of stored, non-cancelled entries (O(n); for tests)."""
-        return sum(1 for h in self if h.pending)
-
-
-class HeapQueue(EventQueue):
-    """Binary-heap queue — the original kernel data structure.
-
-    Kernel-private contract: ``_heap`` is the heap list (compaction
-    mutates it *in place* so the run loop's local alias stays valid) and
-    ``_cancelled`` counts cancelled entries still inside it; the run
-    loop decrements it when sweeping cancelled heads.
-    """
-
-    kind = "heap"
-
-    def __init__(self) -> None:
-        self._heap: list[EventHandle] = []
-        self._cancelled = 0
-        self.compactions = 0
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def __iter__(self) -> Iterator["EventHandle"]:
-        return iter(self._heap)
-
-    def push(self, handle: "EventHandle") -> None:
-        handle._queue = self
-        heapq.heappush(self._heap, handle)
-
-    def pop_next(self) -> "EventHandle | None":
-        heap = self._heap
-        while heap:
-            handle = heapq.heappop(heap)
-            if handle.cancelled:
-                self._cancelled -= 1
-                continue
-            return handle
-        return None
-
-    def peek_time(self) -> float | None:
-        heap = self._heap
-        while heap and heap[0].cancelled:
-            heapq.heappop(heap)
-            self._cancelled -= 1
-        return heap[0].time if heap else None
-
-    def _note_cancel(self) -> None:
-        self._cancelled += 1
-        if self._cancelled >= _COMPACT_MIN and (self._cancelled << 1) > len(self._heap):
-            self._compact()
-
-    def _compact(self) -> None:
-        heap = self._heap
-        heap[:] = [h for h in heap if not h.cancelled]
-        heapq.heapify(heap)
-        self._cancelled = 0
-        self.compactions += 1
-
-    def stats(self) -> dict[str, object]:
-        return {
-            "kind": self.kind,
-            "entries": len(self._heap),
-            "cancelled": self._cancelled,
-            "compactions": self.compactions,
-        }
-
-
-class CalendarQueue(EventQueue):
+class CalendarQueue:
     """Calendar queue: O(1) amortized scheduling on the virtual clock.
 
     Structure: ``nbuckets`` (a power of two) unsorted buckets, each an
@@ -184,15 +71,15 @@ class CalendarQueue(EventQueue):
 
     Events scheduled *during* batch consumption that belong before the
     end of the active batch (``call_soon``, zero-delay reactions) are
-    insorted into the unconsumed tail, which preserves exact heap
-    ordering: an event can never be scheduled before ``now``, so the
-    consumed prefix is never affected.
+    insorted into the unconsumed tail, which preserves exact
+    ``(time, priority, seq)`` ordering: an event can never be scheduled
+    before ``now``, so the consumed prefix is never affected.
 
     Lazy resizing: on refill, if stored entries exceed ``2 × nbuckets``
-    the table grows (or shrinks at ``< nbuckets/8``), rebuilt with a
-    bucket width of three times the mean gap of a sample of stored
-    events — the classic calendar-queue heuristic keeping a visit at
-    O(1) expected entries. Rebuilds drop cancelled entries for free.
+    the table grows (or shrinks at ``< nbuckets/8``), rebuilt with the
+    bucket width of :meth:`_choose_width` so a visit holds a bounded
+    number of entries on average. Rebuilds drop cancelled entries for
+    free.
 
     Kernel-private contract: the run loop consumes ``_batch[_batch_i]``
     directly (writing ``None`` over consumed slots), decrements
@@ -200,8 +87,6 @@ class CalendarQueue(EventQueue):
     when the batch is spent; consumption is accounted lazily (``_refill``
     subtracts the whole previous batch from ``_count`` in one step).
     """
-
-    kind = "calendar"
 
     def __init__(self, width: float = 1.0, nbuckets: int = _MIN_BUCKETS) -> None:
         if width <= 0.0:
@@ -233,6 +118,8 @@ class CalendarQueue(EventQueue):
         self.resizes = 0
 
     def __len__(self) -> int:
+        """Stored entries, lazily-cancelled ones included (what the bloat
+        guards watch)."""
         return self._count - self._batch_i
 
     def __iter__(self) -> Iterator["EventHandle"]:
@@ -244,20 +131,9 @@ class CalendarQueue(EventQueue):
         for bucket in self._buckets:
             yield from bucket
 
-    def push(self, handle: "EventHandle") -> None:
-        handle._queue = self
-        bidx = int(handle.time * self._inv_width)
-        handle._bidx = bidx
-        self._count += 1
-        if bidx > self._cur:
-            self._buckets[bidx & self._mask].append(handle)
-            self._bucket_count += 1
-        else:
-            self._push_near(handle, bidx)
-
     def _push_near(self, handle: "EventHandle", bidx: int) -> None:
         """Store a handle with ``bidx <= _cur`` (the uncommon direction;
-        ``Simulator.schedule_at`` inlines the common one)."""
+        ``Simulator.schedule``/``schedule_at`` inline the push itself)."""
         batch = self._batch
         i = self._batch_i
         if i < len(batch):
@@ -431,9 +307,13 @@ class CalendarQueue(EventQueue):
             self._cancelled -= removed
         self.compactions += 1
 
+    def pending_count(self) -> int:
+        """Number of stored, non-cancelled entries (O(n); for tests)."""
+        return sum(1 for h in self if h.pending)
+
     def stats(self) -> dict[str, object]:
+        """Implementation counters (entries, cancelled, compactions, …)."""
         return {
-            "kind": self.kind,
             "entries": self._count - self._batch_i,
             "cancelled": self._cancelled,
             "buckets": self._nbuckets,
@@ -442,21 +322,3 @@ class CalendarQueue(EventQueue):
             "compactions": self.compactions,
             "resizes": self.resizes,
         }
-
-
-QUEUE_KINDS = ("heap", "calendar")
-
-_REGISTRY = {"heap": HeapQueue, "calendar": CalendarQueue}
-
-
-def make_queue(spec: Union[str, EventQueue]) -> EventQueue:
-    """Build an event queue from a kind name, or pass an instance through."""
-    if isinstance(spec, EventQueue):
-        return spec
-    factory = _REGISTRY.get(spec)  # type: ignore[arg-type]
-    if factory is None:
-        raise SimulationError(
-            f"unknown event queue {spec!r}: expected one of {QUEUE_KINDS} "
-            "or an EventQueue instance"
-        )
-    return factory()

@@ -1,9 +1,5 @@
-"""Unit tests for the discrete-event kernel.
-
-The whole module runs once per event-queue implementation (the ``sim``
-fixture override below): every semantic pinned here — ordering, bounded
-runs, stop, liveness — is part of the queue-independence contract.
-"""
+"""Unit tests for the discrete-event kernel: ordering, bounded runs,
+stop, liveness, and the rejection of invalid event times."""
 
 from __future__ import annotations
 
@@ -12,12 +8,8 @@ import pytest
 from repro.errors import DeadlockError, SimulationError
 from repro.sim.events import Priority
 from repro.sim.kernel import Simulator
-from repro.sim.queues import QUEUE_KINDS
 
-
-@pytest.fixture(params=QUEUE_KINDS)
-def sim(request) -> Simulator:
-    return Simulator(queue=request.param)
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
 
 
 def test_clock_starts_at_zero(sim):
@@ -61,6 +53,28 @@ def test_schedule_at_past_rejected(sim):
     sim.run()
     with pytest.raises(SimulationError):
         sim.schedule_at(1.0, lambda: None)
+
+
+@pytest.mark.parametrize("delay", NON_FINITE, ids=repr)
+def test_non_finite_delay_rejected(sim, delay):
+    """Regression: NaN and +inf used to escape as a raw ValueError /
+    OverflowError from the bucket-index conversion (and NaN was accepted
+    outright by the old heap queue)."""
+    sim.schedule(1.0, lambda: None)
+    with pytest.raises(SimulationError, match=repr(delay)):
+        sim.schedule(delay, lambda: None)
+    # nothing was enqueued and the run is unaffected
+    assert sim.pending_count() == 1
+    assert sim.run() == 1.0
+
+
+@pytest.mark.parametrize("time", NON_FINITE, ids=repr)
+def test_non_finite_time_rejected(sim, time):
+    sim.schedule(1.0, lambda: None)
+    with pytest.raises(SimulationError, match=repr(time)):
+        sim.schedule_at(time, lambda: None)
+    assert sim.pending_count() == 1
+    assert sim.run() == 1.0
 
 
 def test_cancel_prevents_firing(sim):

@@ -1,26 +1,22 @@
-"""The inlined ``Simulator.run`` fast paths are behaviourally identical to
-driving the simulation one :meth:`Simulator.step` at a time — and
-identical *across event-queue implementations*.
+"""The inlined ``Simulator.run`` loop is behaviourally identical to
+driving the simulation one :meth:`Simulator.step` at a time.
 
-``run()`` no longer delegates to ``step()`` (it dispatches to a
-per-queue loop that inlines the pop/fire sequence — the calendar loop
-consumes pre-sorted batches, the heap loop binds ``heappop`` locally),
-so this file pins the equivalences the docstrings promise: same firing
-order, same times, same ``events_fired``, same observer callbacks, same
-trace signatures on full traced workloads, whichever queue and whichever
-drive mode.
+``run()`` does not delegate to ``step()`` (it inlines the calendar
+queue's batch consumption), so this file pins the equivalences the
+docstrings promise: same firing order, same times, same
+``events_fired``, same observer callbacks, same trace signatures on full
+traced workloads, whether the run is bounded or not.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.config import EngineKind, KernelConfig, TimingModel
+from repro.config import EngineKind
 from repro.errors import SimulationError
 from repro.harness.runner import ClusterRuntime
 from repro.sim.events import Priority
 from repro.sim.kernel import Simulator
-from repro.sim.queues import QUEUE_KINDS
 from repro.sim.tracing import Tracer
 from repro.units import KiB
 
@@ -41,37 +37,52 @@ def _storm(sim: Simulator, log: list, n_events: int = 400) -> None:
         sim.schedule(float(c) * 0.25, tick, c)
 
 
-def _run_with_run(n_events: int = 400, queue: str = "heap"):
-    sim, log = Simulator(queue=queue), []
+def _run_with_run(n_events: int = 400):
+    sim, log = Simulator(), []
     _storm(sim, log, n_events)
     end = sim.run()
     return end, sim.events_fired, log
 
 
-def _run_with_step(n_events: int = 400, queue: str = "heap"):
-    sim, log = Simulator(queue=queue), []
+def _run_with_step(n_events: int = 400):
+    sim, log = Simulator(), []
     _storm(sim, log, n_events)
     while sim.step():
         pass
     return sim.now, sim.events_fired, log
 
 
-@pytest.mark.parametrize("queue", QUEUE_KINDS)
-def test_run_matches_step_driven_execution(queue):
-    assert _run_with_run(queue=queue) == _run_with_step(queue=queue)
+def _run_in_segments(n_events: int = 400, horizon: float = 7.3, budget: int = 37):
+    """Bounded runs: alternate ``until`` segments and ``max_events``
+    chunks (resuming after each runaway) until the queue drains."""
+    sim, log = Simulator(), []
+    _storm(sim, log, n_events)
+    bound = 0.0
+    while sim.peek_time() is not None:
+        bound += horizon
+        sim.run(until=bound)
+        try:
+            sim.run(max_events=budget)
+        except SimulationError:
+            pass
+    return log, sim.events_fired
 
 
-def test_all_queues_fire_identically():
-    """The determinism contract across implementations: the full event log
-    (time, chain, counter) is equal element-for-element."""
-    results = [_run_with_run(1_000, queue=kind) for kind in QUEUE_KINDS]
-    assert all(r == results[0] for r in results[1:])
+def test_run_matches_step_driven_execution():
+    assert _run_with_run() == _run_with_step()
 
 
-@pytest.mark.parametrize("queue", QUEUE_KINDS)
-def test_events_fired_counter_identical(queue):
-    _, fired_run, _ = _run_with_run(1_000, queue=queue)
-    _, fired_step, _ = _run_with_step(1_000, queue=queue)
+def test_bounded_runs_match_step_driven_execution():
+    """The one loop serves bounded and unbounded runs: chopping a run into
+    ``until`` segments and ``max_events`` chunks fires the same events in
+    the same order as stepping."""
+    _, fired_step, log_step = _run_with_step(1_000)
+    assert _run_in_segments(1_000) == (log_step, fired_step)
+
+
+def test_events_fired_counter_identical():
+    _, fired_run, _ = _run_with_run(1_000)
+    _, fired_step, _ = _run_with_step(1_000)
     assert fired_run == fired_step > 1_000  # chains + their rearms
 
 
@@ -154,11 +165,10 @@ def test_priority_order_preserved_at_equal_time():
     assert fired == ["tasklet", "normal", "low"]
 
 
-def _traced_signature(engine: str, queue: str | None = None) -> tuple[float, list]:
+def _traced_signature(engine: str) -> tuple[float, list]:
     """A full traced communication workload, as in test_determinism."""
     tracer = Tracer()
-    timing = TimingModel(kernel=KernelConfig(queue=queue)) if queue else None
-    rt = ClusterRuntime.build(engine=engine, tracer=tracer, timing=timing)
+    rt = ClusterRuntime.build(engine=engine, tracer=tracer)
 
     def sender(ctx):
         nm = ctx.env["nm"]
@@ -187,11 +197,3 @@ def test_traced_workload_signature_stable(engine):
     the same workload produce identical trace shapes and end times."""
     assert _traced_signature(engine) == _traced_signature(engine)
 
-
-@pytest.mark.parametrize("engine", [EngineKind.SEQUENTIAL, EngineKind.PIOMAN])
-def test_traced_workload_signature_identical_across_queues(engine):
-    """The queue implementation is invisible to a full engine run: the
-    heap and calendar kernels produce identical trace signatures and end
-    times on a traced communication workload."""
-    signatures = [_traced_signature(engine, queue=kind) for kind in QUEUE_KINDS]
-    assert all(s == signatures[0] for s in signatures[1:])

@@ -1,78 +1,47 @@
-"""Unit tests for the pluggable event-queue layer (:mod:`repro.sim.queues`).
+"""Unit tests for the kernel's event queue (:mod:`repro.sim.queues`).
 
-Ordering equivalence across implementations is pinned by
-``test_kernel_fastpath`` and the property suite; this module covers the
-queue mechanics themselves — selection, calendar resizing, cancelled-entry
-compaction (the retransmit-timer bloat fix), incursion ordering, handle
-pooling, and the bloat regression guards.
+Ordering against a sorted reference is pinned by the property suite;
+this module covers the queue mechanics themselves — calendar resizing,
+cancelled-entry compaction (the retransmit-timer bloat fix), incursion
+ordering, handle pooling, and the bloat regression guards.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.errors import SimulationError
 from repro.sim.events import Priority
 from repro.sim.kernel import Simulator, _POOL_MAX
-from repro.sim.queues import (
-    QUEUE_KINDS,
-    CalendarQueue,
-    EventQueue,
-    HeapQueue,
-    _COMPACT_MIN,
-    make_queue,
-)
+from repro.sim.queues import _COMPACT_MIN, CalendarQueue
 
-# -- selection -----------------------------------------------------------------
+# -- stats ---------------------------------------------------------------------
 
 
-def test_make_queue_by_kind():
-    assert isinstance(make_queue("heap"), HeapQueue)
-    assert isinstance(make_queue("calendar"), CalendarQueue)
-
-
-def test_make_queue_passthrough_instance():
-    q = CalendarQueue()
-    assert make_queue(q) is q
-
-
-def test_make_queue_rejects_unknown_kind():
-    with pytest.raises(SimulationError, match="unknown event queue"):
-        make_queue("splay")
-
-
-def test_simulator_queue_selection():
-    assert Simulator().queue.kind == "heap"  # conservative default
-    assert Simulator(queue="calendar").queue.kind == "calendar"
-    custom = HeapQueue()
-    assert Simulator(queue=custom).queue is custom
-
-
-def test_timing_model_defaults_to_calendar():
-    from repro.config import KernelConfig, TimingModel
-    from repro.errors import ConfigError
-
-    assert TimingModel().kernel.queue == "calendar"
-    with pytest.raises(ConfigError):
-        KernelConfig(queue="splay")
-
-
-@pytest.mark.parametrize("kind", QUEUE_KINDS)
-def test_queue_stats_shape(kind):
-    sim = Simulator(queue=kind)
+def test_queue_stats_shape():
+    sim = Simulator()
     sim.schedule(1.0, lambda: None)
     stats = sim.queue_stats()
-    assert stats["kind"] == kind
     assert stats["entries"] == 1
     assert stats["cancelled"] == 0
     assert "compactions" in stats
+
+
+def test_timing_model_defaults_to_calendar():
+    """No timing knob selects a queue: a runtime built from the default
+    timing model runs its kernel on the calendar queue."""
+    from repro.config import TimingModel
+    from repro.harness.runner import ClusterRuntime
+
+    rt = ClusterRuntime.build(timing=TimingModel())
+    assert isinstance(rt.sim.queue, CalendarQueue)
+    assert not hasattr(TimingModel(), "kernel")
 
 
 # -- calendar resizing ---------------------------------------------------------
 
 
 def test_calendar_grows_buckets_under_load():
-    sim = Simulator(queue="calendar")
+    sim = Simulator()
     fired = []
     for i in range(4_000):
         sim.schedule(float(i) * 0.5 + 1.0, fired.append, i)
@@ -84,7 +53,7 @@ def test_calendar_grows_buckets_under_load():
 
 
 def test_calendar_shrinks_after_drain_burst():
-    sim = Simulator(queue="calendar")
+    sim = Simulator()
     peak = [0]
     sim.add_observer(
         lambda _now: peak.__setitem__(0, max(peak[0], sim.queue_stats()["buckets"])))
@@ -101,7 +70,7 @@ def test_calendar_shrinks_after_drain_burst():
 def test_calendar_handles_sparse_far_future_jumps():
     """Cursor must jump over long empty stretches, not crawl bucket by
     bucket for each of the 10^6 widths between events."""
-    sim = Simulator(queue="calendar")
+    sim = Simulator()
     fired = []
     sim.schedule(0.5, fired.append, "near")
     sim.schedule(1_000_000.0, fired.append, "far")
@@ -113,29 +82,28 @@ def test_calendar_handles_sparse_far_future_jumps():
 def test_calendar_batch_incursion_preserves_priority_order():
     """An event scheduled mid-batch for the current instant at INTERRUPT
     priority must fire before same-time NORMAL events already extracted
-    into the batch — exactly as the heap orders it."""
-    logs = {}
-    for kind in QUEUE_KINDS:
-        sim = Simulator(queue=kind)
-        log = logs.setdefault(kind, [])
+    into the batch — strict ``(time, priority, seq)`` order."""
+    sim = Simulator()
+    log = []
 
-        def first(sim=sim, log=log):
-            log.append(("first", sim.now))
-            sim.call_soon(lambda: log.append(("soon-interrupt", sim.now)),
-                          priority=Priority.INTERRUPT)
-            sim.call_soon(lambda: log.append(("soon-normal", sim.now)))
+    def first():
+        log.append("first")
+        sim.call_soon(lambda: log.append("soon-interrupt"), priority=Priority.INTERRUPT)
+        sim.call_soon(lambda: log.append("soon-normal"))
 
-        sim.schedule(1.0, first)
-        for i in range(4):
-            sim.schedule(1.0, log.append, ("tail", i))
-        sim.run()
-    assert logs["calendar"] == logs["heap"]
+    sim.schedule(1.0, first)
+    for i in range(4):
+        sim.schedule(1.0, log.append, f"tail{i}")
+    sim.run()
+    assert log == [
+        "first", "soon-interrupt", "tail0", "tail1", "tail2", "tail3", "soon-normal"]
+    assert sim.now == 1.0
 
 
 def test_calendar_push_behind_skipped_cursor():
     """A callback scheduling into a region the cursor already skipped past
     (possible after a sparse jump) must still fire in time order."""
-    sim = Simulator(queue="calendar")
+    sim = Simulator()
     fired = []
 
     def at_far():
@@ -152,13 +120,12 @@ def test_calendar_push_behind_skipped_cursor():
 # -- cancelled-entry compaction (the bloat fix) --------------------------------
 
 
-@pytest.mark.parametrize("kind", QUEUE_KINDS)
-def test_cancelled_far_future_timers_are_compacted(kind):
+def test_cancelled_far_future_timers_are_compacted():
     """The historical heap carried every ack-cancelled retransmit timer
-    until its timestamp surfaced — hours of virtual time away. Both queues
-    must now keep stored entries bounded while cancelling far-future
+    until its timestamp surfaced — hours of virtual time away. The queue
+    must keep stored entries bounded while cancelling far-future
     timers en masse."""
-    sim = Simulator(queue=kind)
+    sim = Simulator()
     n = 20_000
     peak = 0
 
@@ -176,9 +143,8 @@ def test_cancelled_far_future_timers_are_compacted(kind):
     assert sim.queue_stats()["compactions"] >= 1
 
 
-@pytest.mark.parametrize("kind", QUEUE_KINDS)
-def test_compaction_preserves_live_entries(kind):
-    sim = Simulator(queue=kind)
+def test_compaction_preserves_live_entries():
+    sim = Simulator()
     fired = []
     keep = [sim.schedule(float(i) + 2.0, fired.append, i) for i in range(10)]
     for _ in range(2 * _COMPACT_MIN):
@@ -201,9 +167,8 @@ def test_cancel_before_run_with_no_queue_is_safe():
 # -- handle pooling ------------------------------------------------------------
 
 
-@pytest.mark.parametrize("kind", QUEUE_KINDS)
-def test_fired_handles_are_recycled(kind):
-    sim = Simulator(queue=kind)
+def test_fired_handles_are_recycled():
+    sim = Simulator()
 
     def rearm(i: int) -> None:
         if i < 200:
@@ -215,11 +180,10 @@ def test_fired_handles_are_recycled(kind):
     assert len(sim._pool) <= _POOL_MAX
 
 
-@pytest.mark.parametrize("kind", QUEUE_KINDS)
-def test_retained_handles_are_never_recycled(kind):
+def test_retained_handles_are_never_recycled():
     """A handle the caller kept a reference to must not be reused for a
     later event — its fields (fired, time, label) stay readable."""
-    sim = Simulator(queue=kind)
+    sim = Simulator()
     kept = [sim.schedule(float(i) + 1.0, lambda: None, label=f"ev{i}") for i in range(50)]
     for i in range(50):
         sim.schedule(float(i) + 1.5, lambda: None)  # interleaved churn
@@ -229,8 +193,25 @@ def test_retained_handles_are_never_recycled(kind):
     assert all(h not in sim._pool for h in kept)
 
 
+@pytest.mark.parametrize("bounded", [False, True], ids=["free", "bounded"])
+def test_unretained_cancelled_handles_are_recycled(bounded):
+    """A cancelled entry nobody holds (an ack'd timer whose owner dropped
+    the handle) feeds the pool when it surfaces, in bounded runs too."""
+    sim = Simulator()
+    for i in range(20):
+        sim.schedule(float(i) + 1.0, lambda: None).cancel()
+    kept = sim.schedule(50.0, lambda: None)
+    kept.cancel()
+    if bounded:
+        sim.run(until=100.0)
+    else:
+        sim.run()
+    assert len(sim._pool) == 20
+    assert kept not in sim._pool and kept.cancelled and not kept.fired
+
+
 def test_pool_reuse_resets_all_fields():
-    sim = Simulator(queue="calendar")
+    sim = Simulator()
     log = []
     sim.schedule(1.0, log.append, "a", priority=Priority.TASKLET, label="first")
     sim.run()
@@ -245,70 +226,6 @@ def test_pool_reuse_resets_all_fields():
     assert h.fired
 
 
-# -- generic EventQueue fallback ----------------------------------------------
-
-
-class _ListQueue(EventQueue):
-    """Deliberately naive third-party implementation: sorted list."""
-
-    kind = "list"
-
-    def __init__(self) -> None:
-        self._entries = []
-
-    def push(self, handle) -> None:
-        handle._queue = self
-        self._entries.append(handle)
-        self._entries.sort(key=lambda h: h._key)
-
-    def pop_next(self):
-        while self._entries:
-            h = self._entries.pop(0)
-            if not h.cancelled:
-                return h
-        return None
-
-    def peek_time(self):
-        while self._entries and self._entries[0].cancelled:
-            self._entries.pop(0)
-        return self._entries[0].time if self._entries else None
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __iter__(self):
-        return iter(self._entries)
-
-    def _note_cancel(self) -> None:
-        pass
-
-    def stats(self):
-        return {"kind": self.kind, "entries": len(self._entries)}
-
-
-def test_generic_queue_runs_through_fallback_loop():
-    sim = Simulator(queue=_ListQueue())
-    fired = []
-    sim.schedule(2.0, fired.append, "b")
-    sim.schedule(1.0, fired.append, "a")
-    sim.schedule(1.0, sim.stop)  # exercises stop in the generic loop
-    sim.run()
-    assert fired == ["a"]
-    assert sim.run() == 2.0
-    assert fired == ["a", "b"]
-
-
-def test_generic_queue_bounded_run():
-    sim = Simulator(queue=_ListQueue())
-    fired = []
-    for i in range(4):
-        sim.schedule(float(i) + 1.0, fired.append, i)
-    assert sim.run(until=2.5) == 2.5
-    assert fired == [0, 1]
-    with pytest.raises(SimulationError, match="max_events"):
-        sim.run(max_events=1)
-
-
 # -- bloat regression guard (perf lane) ---------------------------------------
 
 
@@ -317,20 +234,19 @@ def test_reliability_ack_storm_queue_stays_bounded():
     """Ack-heavy reliability traffic: every send arms a retransmit timer
     the ack cancels almost immediately. Stored entries — sampled from an
     observer after every event — must stay bounded instead of growing
-    with message count, on both queue implementations."""
-    for kind in QUEUE_KINDS:
-        sim = Simulator(queue=kind)
-        n = 20_000
-        peak = [0]
-        sim.add_observer(lambda _now: peak.__setitem__(0, max(peak[0], len(sim.queue))))
+    with message count."""
+    sim = Simulator()
+    n = 20_000
+    peak = [0]
+    sim.add_observer(lambda _now: peak.__setitem__(0, max(peak[0], len(sim.queue))))
 
-        def send(i: int) -> None:
-            timer = sim.schedule(1e8, lambda: None)  # RTO far beyond the run
-            sim.schedule(0.5, timer.cancel)  # the ack
-            if i + 1 < n:
-                sim.schedule(1.0, send, i + 1)
+    def send(i: int) -> None:
+        timer = sim.schedule(1e8, lambda: None)  # RTO far beyond the run
+        sim.schedule(0.5, timer.cancel)  # the ack
+        if i + 1 < n:
+            sim.schedule(1.0, send, i + 1)
 
-        sim.schedule(1.0, send, 0)
-        sim.run()
-        assert peak[0] < 2 * _COMPACT_MIN + 256, (
-            f"{kind} queue bloated to {peak[0]} entries for {n} sends")
+    sim.schedule(1.0, send, 0)
+    sim.run()
+    assert peak[0] < 2 * _COMPACT_MIN + 256, (
+        f"queue bloated to {peak[0]} entries for {n} sends")
